@@ -209,7 +209,14 @@ def manual_fr_spec(
 
 @dataclass
 class KmeansResult:
-    """Outcome of a full k-means run."""
+    """Outcome of a full k-means run.
+
+    ``inertia`` is lazy: it is evaluated from :attr:`points` and the final
+    centroids on first access and cached, so a caller that never reads it
+    never pays for it.  The result therefore keeps a reference to the
+    points passed to :meth:`KmeansRunner.run`; mutating them before the
+    first read changes the value.
+    """
 
     centroids: np.ndarray
     counts: np.ndarray
@@ -217,12 +224,26 @@ class KmeansResult:
     version: str
     counters: OpCounters
     per_iteration_stats: list[RunStats] = field(default_factory=list)
-    inertia: float = 0.0
     #: per-iteration summed min-distances, read from the reduction object
     #: (Figure 3's RO contents); measured against that iteration's input
     #: centroids, so the sequence is non-increasing
     inertia_trace: list[float] = field(default_factory=list)
     converged: bool = False
+    #: the clustered points, kept for the lazy :attr:`inertia`
+    points: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _inertia_value: float | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def inertia(self) -> float:
+        """Sum of squared distances from each point to its nearest final
+        centroid (0.0 without points); computed once, on first access."""
+        if self._inertia_value is None:
+            self._inertia_value = (
+                0.0 if self.points is None else _inertia(self.points, self.centroids)
+            )
+        return self._inertia_value
 
 
 class KmeansRunner:
@@ -346,9 +367,9 @@ class KmeansRunner:
             version=self.version,
             counters=bound.counters,
             per_iteration_stats=stats,
-            inertia=_inertia(points, cents),
             inertia_trace=trace,
             converged=converged,
+            points=points,
         )
 
     # -- manual FR ------------------------------------------------------------------
@@ -385,13 +406,29 @@ class KmeansRunner:
             version="manual",
             counters=counters,
             per_iteration_stats=stats,
-            inertia=_inertia(points, cents),
             inertia_trace=trace,
             converged=converged,
+            points=points,
         )
 
 
+#: rows per chunk of the inertia evaluation: bounds its (rows, k, dim)
+#: temporary to ~8 MB instead of materializing all n rows at once
+_INERTIA_CHUNK_ELEMS = 1 << 20
+
+
 def _inertia(points: np.ndarray, cents: np.ndarray) -> float:
-    """Sum of squared distances to the nearest centroid (quality metric)."""
-    d2 = ((points[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    return float(d2.min(axis=1).sum())
+    """Sum of squared distances to the nearest centroid (quality metric).
+
+    Evaluated in row chunks; the per-point minima land in one n-vector
+    that is summed once, so the value is bit-identical to summing the
+    minima of the full (n, k, dim) distance tensor.
+    """
+    n = points.shape[0]
+    rows = max(1, _INERTIA_CHUNK_ELEMS // max(1, cents.size))
+    mins = np.empty(n)
+    for lo in range(0, n, rows):
+        chunk = points[lo : lo + rows]
+        d2 = ((chunk[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        mins[lo : lo + rows] = d2.min(axis=1)
+    return float(mins.sum())

@@ -9,9 +9,14 @@ kernel version, mirroring the instrumented Python kernel *exactly*:
   (``computeIndex`` inlined as a constant-folded affine byte offset,
   hoisted rows as base pointers, incremental bases bumped per iteration);
 * the same static per-statement :class:`~repro.compiler.codegen._Cost`
-  bumps land in a ``double`` counter array folded back into the
-  :class:`~repro.machine.counters.OpCounters` ledger after each call, so
-  OpCounters parity with the scalar kernel is structural, not accidental;
+  bumps land in a function-local ``long long _K[]`` array that the
+  kernel's epilogue adds into the caller's ``double`` counter array once
+  per call; the wrapper folds that into the
+  :class:`~repro.machine.counters.OpCounters` ledger, so OpCounters
+  parity with the scalar kernel is structural, not accidental.  Because
+  ``_K`` is local and never escapes, the C compiler keeps the counts in
+  registers and folds constant-trip loops' bumps, instead of a
+  read-modify-write through a pointer that may alias the scratch buffer;
 * reduction-object updates accumulate into a preallocated per-split
   *scratch* buffer (identity-initialized, with the same group/element/op
   validation the scalar path performs) that the Python wrapper commits
@@ -93,7 +98,7 @@ NATIVE_FORMAT_VERSION = 1
 CC_ENV = "REPRO_CC"
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 
-#: OpCounters field order — the index layout of the C ``_C`` array.
+#: OpCounters field order — the index layout of the C ``_K``/``_C`` arrays.
 _COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in dc_fields(OpCounters))
 _CIDX = {name: i for i, name in enumerate(_COUNTER_FIELDS)}
 _IDX_RO_UPDATES = _CIDX["ro_updates"]
@@ -147,6 +152,14 @@ static long long _maxll(long long a, long long b) { return a > b ? a : b; }
 static double _mind(double a, double b) { return a < b ? a : b; }
 static double _maxd(double a, double b) { return a > b ? a : b; }
 static long long _absll(long long a) { return a < 0 ? -a : a; }
+/* an all-ones/all-zeros mask the compiler cannot see through, so a mask
+   select stays a select instead of becoming a data-dependent branch */
+#if defined(__GNUC__) || defined(__clang__)
+#define _OPAQUE(m) __asm__("" : "+r"(m))
+#else
+#define _OPAQUE(m) ((void)0)
+#endif
+static long long _selll(long long m, long long a, long long b) { return (a & m) | (b & ~m); }
 """
 
 #: ``(dtype kind, itemsize) -> (loader fn, value type)``.
@@ -190,6 +203,12 @@ class NativeCodegen:
     Mirrors :class:`~repro.compiler.codegen.PythonCodegen` statement by
     statement — same traversal, same cost-bump placement, same site-plan
     realization — so the counter ledgers of the two kernels agree exactly.
+    Cost bumps accumulate in the local ``_K`` array and reach the ``_C``
+    argument only in the epilogue before ``return 0``; an error return
+    skips it, and the wrapper raises without touching the ledger.
+    An ``if`` that only copies locals or literals (an argmin update) is
+    emitted as selects, so the kernel's time does not depend on how well
+    the data lets its branches predict.
     ``summary`` (the PR 7 effect summary) proves index bounds; proven
     levels skip their runtime range check.
     """
@@ -231,7 +250,7 @@ class NativeCodegen:
         if not cost.counts:
             return []
         parts = [
-            f"_C[{_CIDX[k]}] += {v};" for k, v in sorted(cost.counts.items())
+            f"_K[{_CIDX[k]}] += {v};" for k, v in sorted(cost.counts.items())
         ]
         return [indent + " ".join(parts)]
 
@@ -691,6 +710,25 @@ class NativeCodegen:
             cost = _Cost()
             cond, _ = self.emit_expr(stmt.cond, cost)
             self._flush_cost(cost)
+            copies = self._select_copies(stmt)
+            if copies is not None:
+                # integer copies go through an opaque mask; real copies are
+                # conditionals the compiler turns into minsd/maxsd or a blend
+                tmp = self._next_tmp()
+                self._w(f"{{ const int _s{tmp} = ({cond}) != 0;")
+                self.indent += 1
+                if any(t == "i" for _, _, t in copies):
+                    self._w(f"long long _m{tmp} = -(long long)_s{tmp}; _OPAQUE(_m{tmp});")
+                for target, value, t in copies:
+                    if t == "d":
+                        self._w(f"{target} = _s{tmp} ? (double)({value}) : {target};")
+                    else:
+                        self._w(
+                            f"{target} = _selll(_m{tmp}, (long long)({value}), {target});"
+                        )
+                self.indent -= 1
+                self._w("}")
+                return
             self._w(f"if ({cond}) {{")
             self.indent += 1
             self.emit_block(stmt.then)
@@ -712,6 +750,40 @@ class NativeCodegen:
                 self._w(f"(void)({code});")
         else:  # pragma: no cover
             raise CodegenError(f"cannot emit statement {stmt!r}")
+
+    def _select_copies(self, stmt: A.IfStmt) -> list[tuple[str, str, str]] | None:
+        """``(target, value, type)`` per assignment when ``stmt`` can run
+        as branch-free selects, else ``None``.
+
+        Only an ``if`` without ``else`` whose body is plain assignments of
+        literals or locals to locals qualifies (the argmin/argmax update):
+        such values cost nothing and cannot fail, so computing them
+        unconditionally changes neither results nor counters.
+        """
+        if stmt.orelse is not None or not stmt.then.stmts:
+            return None
+        copies = []
+        for s in stmt.then.stmts:
+            if (
+                not isinstance(s, A.Assign)
+                or s.op is not None
+                or not isinstance(s.target, A.Ident)
+            ):
+                return None
+            value = s.value
+            if id(value) in self.low.sites or not isinstance(
+                value, (A.Ident, A.IntLit, A.RealLit, A.BoolLit)
+            ):
+                return None
+            cost = _Cost()
+            code, _ = self.emit_expr(value, cost)
+            if cost.counts:
+                return None
+            target = s.target.name
+            copies.append(
+                (self._mangle(target), code, self.local_types.get(target, "i"))
+            )
+        return copies
 
     def _emit_ro_update(self, expr: A.Call) -> None:
         """``roAdd/roMin/roMax(group, elem, value)`` into the scratch buffer,
@@ -792,12 +864,16 @@ class NativeCodegen:
                 self._w(f"long long _b_{hoist.hoist_id} = 0;")
         self._w("(void)_bufs; (void)_scr; (void)_ro_off; (void)_ro_n;")
         self._w("(void)_ro_op; (void)_ro_groups; (void)_touched;")
+        self._w(f"long long _K[{len(_COUNTER_FIELDS)}] = {{0}};")
         self._w("for (long long _e = _start; _e < _end; _e++) {")
         self.indent += 1
-        self._w(f"_C[{_CIDX['elements_processed']}] += 1;")
+        self._w(f"_K[{_CIDX['elements_processed']}] += 1;")
         self.emit_block(self.low.body)
         self.indent -= 1
         self._w("}")
+        self._w(" ".join(
+            f"_C[{i}] += (double)_K[{i}];" for i in range(len(_COUNTER_FIELDS))
+        ))
         self._w("return 0;")
         self.indent -= 1
         self._w("}")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.apps.kmeans as kmeans_mod
 from repro.apps.kmeans import (
     KmeansRunner,
     centroids_from_ro,
@@ -181,3 +182,44 @@ class TestConvergenceCriterion:
         points, cents, _, _ = workload
         result = KmeansRunner(K, DIM, version="manual").run(points, cents, 4)
         assert result.iterations == 4 and not result.converged
+
+
+def _eager_inertia(points, cents):
+    """The formula ``KmeansResult.inertia`` was computed with eagerly."""
+    d2 = ((points[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+    return float(d2.min(axis=1).sum())
+
+
+class TestLazyInertia:
+    @pytest.mark.parametrize("version", ["generated", "opt-1", "opt-2", "manual"])
+    @pytest.mark.parametrize("chunk_elems", [None, 64])
+    def test_bit_identical_to_eager_formula(
+        self, workload, monkeypatch, version, chunk_elems
+    ):
+        points, cents, _, _ = workload
+        if chunk_elems is not None:  # many small row chunks
+            monkeypatch.setattr(kmeans_mod, "_INERTIA_CHUNK_ELEMS", chunk_elems)
+        result = KmeansRunner(K, DIM, version=version).run(points, cents, ITERS)
+        assert result.inertia == _eager_inertia(points, result.centroids)
+
+    def test_computed_at_most_once(self, workload, monkeypatch):
+        points, cents, _, _ = workload
+        calls = []
+        real = kmeans_mod._inertia
+        monkeypatch.setattr(
+            kmeans_mod, "_inertia", lambda p, c: calls.append(1) or real(p, c)
+        )
+        result = KmeansRunner(K, DIM, version="opt-2").run(points, cents, 2)
+        first = result.inertia
+        assert result.inertia == first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("version", ["opt-2", "manual"])
+    def test_unread_inertia_is_never_evaluated(self, workload, monkeypatch, version):
+        points, cents, _, _ = workload
+        calls = []
+        monkeypatch.setattr(kmeans_mod, "_inertia", lambda p, c: calls.append(1))
+        result = KmeansRunner(K, DIM, version=version).run(points, cents, 2)
+        assert result.points is points  # the reference the lazy value needs
+        assert len(result.inertia_trace) == 2
+        assert calls == []

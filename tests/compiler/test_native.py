@@ -8,12 +8,15 @@ format-version bump, and the in-memory kernel cache's LRU eviction
 accounting.
 """
 
+from dataclasses import fields as dc_fields
+
 import numpy as np
 import pytest
 
 import repro.compiler.native as native_mod
-from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
-from repro.apps.kmeans import KMEANS_CHAPEL_SOURCE
+from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE, HistogramRunner
+from repro.apps.kmeans import KMEANS_CHAPEL_SOURCE, KmeansRunner
+from repro.apps.pca import PcaRunner
 from repro.compiler.cache import (
     clear_kernel_cache,
     compile_cached,
@@ -27,7 +30,10 @@ from repro.compiler.native import (
     probe_toolchain,
     reset_toolchain_probe,
 )
+from repro.freeride.reduction_object import ReductionObject
+from repro.machine.counters import OpCounters
 from repro.obs.tracer import Tracer, tracing
+from repro.util.errors import ReductionObjectError
 
 needs_cc = pytest.mark.skipif(
     not probe_toolchain()["ok"],
@@ -52,6 +58,35 @@ def _compile_hist(backend="native", opt_level=2):
     )
 
 
+def _assert_counters_in_epilogue(src: str) -> None:
+    """Cost bumps hit the local ``_K`` array; ``_C`` is written only by
+    the one epilogue line just before the kernel's ``return 0``."""
+    lines = src.splitlines()
+    start = next(
+        i for i, line in enumerate(lines)
+        if "for (long long _e = _start; _e < _end; _e++) {" in line
+    )
+    depth, end = 0, None
+    for i in range(start, len(lines)):
+        depth += lines[i].count("{") - lines[i].count("}")
+        if depth == 0:
+            end = i
+            break
+    assert end is not None
+    loop = lines[start : end + 1]
+    # counter bumps mirror the scalar kernel's static cost model
+    assert any("_K[" in line for line in loop)
+    assert not any("_C[" in line for line in loop)
+    writes = [i for i, line in enumerate(lines) if "_C[" in line]
+    (epilogue,) = writes
+    assert epilogue > end
+    assert lines[epilogue + 1].strip() == "return 0;"
+    slots = len(dc_fields(OpCounters))
+    assert lines[epilogue].split() == [
+        tok for i in range(slots) for tok in (f"_C[{i}]", "+=", f"(double)_K[{i}];")
+    ]
+
+
 @needs_cc
 class TestNativeCodegen:
     def test_source_shape(self):
@@ -63,10 +98,18 @@ class TestNativeCodegen:
         assert f"long long {nk.symbol}(" in src
         assert nk.symbol.startswith("repro_native_")
         assert "#include <math.h>" in src
-        # counter bumps mirror the scalar kernel's static cost model
-        assert "_C[" in src
         # the element loop and its processed-elements accounting
         assert "for (long long _e = _start; _e < _end; _e++)" in src
+        _assert_counters_in_epilogue(src)
+
+    def test_kmeans_counters_stay_local(self):
+        # nested constant-trip loops: every bump inside them is to _K too
+        compiled = compile_cached(
+            KMEANS_CHAPEL_SOURCE, {"k": 4, "dim": 3}, opt_level=2,
+            backend="native",
+        )
+        assert compiled.native_kernel is not None, compiled.native_fallback_reason
+        _assert_counters_in_epilogue(compiled.native_source)
 
     def test_effective_backend_and_event(self):
         tracer = Tracer()
@@ -94,6 +137,137 @@ class TestNativeCodegen:
         assert decision.args["requested"] == "native"
         assert decision.args["effective"] != "native"
         assert decision.args["reason"]
+
+
+@needs_cc
+class TestNativeCounters:
+    """The local-array counters reach the ledger exactly as the scalar
+    kernel's per-statement bumps do, and never on a failed split."""
+
+    rng = np.random.default_rng(7)
+    KM_POINTS = rng.integers(-40, 40, size=(240, 3)).astype(np.float64)
+    PCA_MATRIX = rng.integers(-9, 9, size=(5, 64)).astype(np.float64)
+    HIST_DATA = (np.arange(500, dtype=np.float64) * 7) % 64
+    APPS = {
+        "kmeans": (
+            lambda b: KmeansRunner(k=4, dim=3, version="opt-2", backend=b),
+            lambda r, c: r.run(c.KM_POINTS, c.KM_POINTS[:4], iterations=2),
+        ),
+        "histogram": (
+            lambda b: HistogramRunner(16, 0.0, 64.0, version="opt-2", backend=b),
+            lambda r, c: r.run(c.HIST_DATA),
+        ),
+        "pca": (
+            lambda b: PcaRunner(m=5, version="opt-2", backend=b),
+            lambda r, c: r.run(c.PCA_MATRIX),
+        ),
+    }
+
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_opcounters_parity_across_backends(self, app):
+        make, run = self.APPS[app]
+        ledgers = {}
+        for backend in ("scalar", "batch", "native"):
+            with make(backend) as runner:
+                if backend == "native":
+                    for attr in ("compiled", "mean_compiled", "cov_compiled"):
+                        compiled = getattr(runner, attr, None)
+                        assert compiled is None or compiled.native_kernel is not None
+                ledgers[backend] = run(runner, self).counters.as_dict()
+        assert ledgers["batch"] == ledgers["scalar"]
+        assert ledgers["native"] == ledgers["scalar"]
+
+    def test_failing_split_raises_and_leaves_ledger(self):
+        source = """
+class binOf : ReduceScanOp {
+  def accumulate(x: real) {
+    roAdd(0, toInt(x), 1.0);
+  }
+}
+"""
+        compiled = compile_cached(source, {}, opt_level=2, backend="native")
+        assert compiled.native_kernel is not None, compiled.native_fallback_reason
+        data = np.array([0.0, 1.0, 2.0, 3.0, 9.0, 1.0])  # 9 is out of range
+        bound = compiled.bind(data)
+        spec, _ = bound.make_spec([(4, "add")])
+        ro = ReductionObject()
+        spec.setup_reduction_object(ro)
+        kernel = compiled.native_kernel
+        kernel(0, 4, ro, bound.env, bound.counters)  # a good split folds
+        good = bound.counters.as_dict()
+        assert good["elements_processed"] == 4
+        assert ro.snapshot().tolist() == [1.0, 1.0, 1.0, 1.0]
+        with pytest.raises(ReductionObjectError, match="out of range"):
+            kernel(2, 6, ro, bound.env, bound.counters)
+        # the failed split's partial counts never reach the ledger or RO
+        assert bound.counters.as_dict() == good
+        assert ro.snapshot().tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+@needs_cc
+class TestBranchFreeSelects:
+    """An ``if`` whose body only copies locals or literals into locals
+    compiles to selects, so the kernel's time does not depend on how
+    predictable the data makes the condition."""
+
+    SOURCE = """
+class pick : ReduceScanOp {
+  def accumulate(x: real) {
+    var best: real = 5.0;
+    var idx: int = 0;
+    var seen: real = -1.0;
+    var c: int = 2;
+    var v: real = x;
+    if (v < best) {
+      best = v;
+      idx = c;
+      seen = best;
+    }
+    if (v > 7.0) {
+      idx = 1;
+      best = 2.5;
+    }
+    if (x > 8.0) {
+      idx = 3;
+    } else {
+      seen = seen + 1.0;
+    }
+    roAdd(idx, 0, best);
+    roAdd(idx, 1, seen);
+  }
+}
+"""
+
+    def test_kmeans_argmin_is_branch_free(self):
+        compiled = compile_cached(
+            KMEANS_CHAPEL_SOURCE, {"k": 4, "dim": 3}, opt_level=2,
+            backend="native",
+        )
+        assert compiled.native_kernel is not None, compiled.native_fallback_reason
+        src = compiled.native_source
+        assert "if ((u_dist < u_minDist))" not in src
+        assert "u_minDist = _s" in src
+        assert "u_minIdx = _selll(_m" in src
+
+    def test_selects_match_scalar_results_and_counters(self):
+        data = np.array([9.5, 1.0, 7.5, 6.0, 3.0, 8.5, 4.0, 0.5, 5.0, 7.0])
+        got = {}
+        for backend in ("scalar", "native"):
+            compiled = compile_cached(self.SOURCE, {}, opt_level=2, backend=backend)
+            assert compiled.effective_backend == backend
+            bound = compiled.bind(data)
+            spec, _ = bound.make_spec([(2, "add")] * 4)
+            ro = ReductionObject()
+            spec.setup_reduction_object(ro)
+            compiled.effective_kernel(0, len(data), ro, bound.env, bound.counters)
+            got[backend] = (ro.snapshot().tolist(), bound.counters.as_dict())
+            if backend == "native":
+                src = compiled.native_source
+                # the two copy-only ifs became selects; the if/else did not
+                assert src.count("_OPAQUE(_m") == 2
+                assert "u_best = _s" in src and "u_seen = _s" in src
+                assert src.count(" else {") == 1
+        assert got["native"] == got["scalar"]
 
 
 class TestToolchainFallback:
