@@ -16,12 +16,16 @@ kernel version, mirroring the instrumented Python kernel *exactly*:
   parity with the scalar kernel is structural, not accidental.  Because
   ``_K`` is local and never escapes, the C compiler keeps the counts in
   registers and folds constant-trip loops' bumps, instead of a
-  read-modify-write through a pointer that may alias the scratch buffer;
-* reduction-object updates accumulate into a preallocated per-split
-  *scratch* buffer (identity-initialized, with the same group/element/op
-  validation the scalar path performs) that the Python wrapper commits
-  through the accessor's ``merge_from_scratch``/``merge_from`` — the
-  existing combine tree — after the C call returns.
+  read-modify-write through a pointer that may alias the RO buffer;
+* reduction-object updates (with the same group/element/op validation
+  the scalar path performs) land **in place** in the target's buffer and
+  touched map whenever the call owns that target exclusively — a thread's
+  private replica, a process worker's shared-memory slot, a per-attempt
+  scratch — exactly as the paper's threads update their private copies;
+  the wrapper saves both first and restores them if the kernel fails, so
+  a split still commits all or nothing.  Targets shared between threads
+  (colored, locking) get a reused per-thread scratch buffer instead,
+  committed through the accessor's ``merge_from_scratch`` after the call.
 
 Because the C call runs through cffi's ABI mode, the GIL is released for
 the whole split, so ``executor="thread"`` finally scales, and
@@ -59,6 +63,7 @@ import os
 import subprocess
 import tempfile
 import threading
+import weakref
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Any, Callable
@@ -1105,38 +1110,6 @@ def compile_native(
 
 # ------------------------------------------------------------ Python wrapper
 
-_layout_lock = threading.Lock()
-_layout_tables: dict[tuple, tuple] = {}
-
-
-def _tables_for(layout: list[tuple[int, str]]) -> tuple:
-    """Dense int64 ``(offsets, nelems, opcodes)`` + identity vector."""
-    key = tuple(layout)
-    with _layout_lock:
-        entry = _layout_tables.get(key)
-        if entry is not None:
-            return entry
-    offs, nelems, ops, ident = [], [], [], []
-    offset = 0
-    identities = {"add": 0.0, "min": np.inf, "max": -np.inf}
-    for num_elems, op in layout:
-        if op not in _OP_CODES:
-            raise ReductionObjectError(f"unknown accumulate op {op!r}")
-        offs.append(offset)
-        nelems.append(num_elems)
-        ops.append(_OP_CODES[op])
-        ident.extend([identities[op]] * num_elems)
-        offset += num_elems
-    entry = (
-        np.ascontiguousarray(offs, dtype=np.int64),
-        np.ascontiguousarray(nelems, dtype=np.int64),
-        np.ascontiguousarray(ops, dtype=np.int64),
-        np.ascontiguousarray(ident, dtype=np.float64),
-    )
-    with _layout_lock:
-        return _layout_tables.setdefault(key, entry)
-
-
 _RC_MESSAGES = {
     _RC_MAP_OOB: (MappingError, "computeIndex position out of range"),
     _RC_ROW_OOB: (MappingError, "hoisted row index out of range"),
@@ -1146,86 +1119,180 @@ _RC_MESSAGES = {
 }
 
 
+class _ThreadState:
+    """One thread's reusable per-call state for one native kernel.
+
+    Everything here is a per-call constant the wrapper would otherwise
+    rebuild on every split: the layout tables and their pointers, the
+    save area for in-place rollback, the scratch object for shared
+    targets, and the target's and data buffers' pointers.  Pointer caches
+    are keyed by the *arrays* they point into (held weakly, so a cached
+    entry never keeps a shared-memory view alive): ``update_extras``
+    rebinds ``env["buf_*"]`` inside the same env dict, so a key on the
+    env would hand the kernel stale pointers.
+    """
+
+    __slots__ = (
+        "info", "tables", "saved", "saved_touched", "scratch", "counters",
+        "counters_ptr", "target_refs", "target_ptrs", "data_refs", "c_bufs",
+    )
+
+    def __init__(self) -> None:
+        self.info = None
+        self.target_refs = None
+        self.data_refs = None
+
+
+def _same(refs: "list | tuple | None", objs: "list | tuple") -> bool:
+    """Whether ``refs`` (weak references) point at exactly ``objs``."""
+    if refs is None or len(refs) != len(objs):
+        return False
+    for ref, obj in zip(refs, objs):
+        if ref() is not obj:
+            return False
+    return True
+
+
 def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     """The ``_kernel(_start, _end, _ro, _env, _C)`` twin of the C function.
 
-    Per call: reset the thread-local scratch/touched/counter buffers, run
-    the C kernel (GIL released by cffi for the whole split), fold the
-    counter array into the ledger, and commit the scratch through the
-    accessor's atomic ``merge_from_scratch`` (restricted to the touched
-    groups, as the colored technique requires) or a plain ``merge_from``
-    for bare reduction objects and per-attempt scratch accessors.
+    When the call owns its target exclusively — a bare reduction object,
+    or an accessor whose ``exclusive_ro`` is set (a thread's or process
+    worker's replica, a per-attempt or delta-replay scratch) — the C
+    kernel updates the target's buffer and touched map **in place**, the
+    paper's private-replica update with no intermediate.  The two are
+    copied into a thread-local save area first and restored if the kernel
+    returns an error, so a failed split leaves the object exactly as it
+    was; the counter array is folded into the ledger, and ``ro_updates``
+    into the object's ``update_count``, only on success.
+
+    Shared targets (colored and locking accessors) cannot be rolled back
+    without clobbering concurrent writers, nor can a buffer the C kernel
+    cannot address directly (non-contiguous, read-only or misaligned):
+    those calls run into a reused thread-local scratch object, committed
+    through the accessor's atomic ``merge_from_scratch`` (restricted to
+    the touched groups, as the colored technique requires) or a plain
+    ``merge_from``.
     """
     ffi = native.ffi
     fn = native.fn
-    buf_order = native.buf_order
-    buf_names = [f"buf_{kid}" for kid in buf_order]
+    buf_names = [f"buf_{kid}" for kid in native.buf_order]
     tls = threading.local()
+    ncounters = len(_COUNTER_FIELDS)
+
+    def _bind_layout(st: _ThreadState, target: ReductionObject, info: Any) -> None:
+        for op in info.ops:
+            if op not in _OP_CODES:
+                raise ReductionObjectError(f"unknown accumulate op {op!r}")
+        opcodes = np.array([_OP_CODES[op] for op in info.ops], dtype=np.int64)
+        st.info = info
+        st.tables = (
+            (info.offsets, info.nelems, opcodes),  # kept alive for the pointers
+            ffi.cast("const long long *", info.offsets.ctypes.data),
+            ffi.cast("const long long *", info.nelems.ctypes.data),
+            ffi.cast("const long long *", opcodes.ctypes.data),
+            len(info.ops),
+        )
+        st.saved = np.empty(info.identity.size, dtype=np.float64)
+        st.saved_touched = np.empty(len(info.ops), dtype=bool)
+        st.scratch = target.clone_empty()
+        st.counters = np.zeros(ncounters, dtype=np.float64)
+        st.counters_ptr = ffi.cast("double *", st.counters.ctypes.data)
+        st.target_refs = None
+
+    def _bind_target(st: _ThreadState, buf: np.ndarray, touched: np.ndarray) -> None:
+        st.target_refs = (weakref.ref(buf), weakref.ref(touched))
+        addressable = (
+            buf.dtype == np.float64
+            and buf.flags.c_contiguous
+            and buf.flags.writeable
+            and buf.flags.aligned
+            and touched.dtype == np.bool_
+            and touched.flags.c_contiguous
+            and touched.flags.writeable
+        )
+        st.target_ptrs = (
+            ffi.cast("double *", buf.ctypes.data),
+            ffi.cast("unsigned char *", touched.ctypes.data),
+        ) if addressable else None
 
     def _native_kernel(_start, _end, _ro, _env, _C):
-        ro_obj = _ro if isinstance(_ro, ReductionObject) else _ro.ro
-        layout = ro_obj.layout()
-        offs, nelems, ops, ident = _tables_for(layout)
+        if isinstance(_ro, ReductionObject):
+            target, shared = _ro, None
+        else:
+            exclusive = getattr(_ro, "exclusive_ro", False)
+            target, shared = _ro.ro, (None if exclusive else _ro)
+        st = getattr(tls, "state", None)
+        if st is None:
+            st = tls.state = _ThreadState()
+        info = target._layout_info()
+        if st.info is not info:
+            if st.info is not None and st.info.signature == info.signature:
+                st.info = info  # e.g. a fresh per-attempt scratch: same tables
+            else:
+                _bind_layout(st, target, info)
 
-        store = getattr(tls, "store", None)
-        if store is None:
-            store = tls.store = {}
-        key = tuple(layout)
-        bufs3 = store.get(key)
-        if bufs3 is None:
-            bufs3 = store[key] = (
-                np.empty(ident.size, dtype=np.float64),
-                np.empty(len(layout), dtype=np.uint8),
-                np.empty(len(_COUNTER_FIELDS), dtype=np.float64),
-            )
-        scratch, touched, counters = bufs3
-        scratch[:] = ident
-        touched[:] = 0
+        in_place = False
+        if shared is None:
+            buf, touched = target._buffer, target._touched
+            if not _same(st.target_refs, (buf, touched)):
+                _bind_target(st, buf, touched)
+            in_place = st.target_ptrs is not None
+        if in_place:
+            np.copyto(st.saved, buf)
+            np.copyto(st.saved_touched, touched)
+            scr_ptr, touched_ptr = st.target_ptrs
+        else:
+            scratch = st.scratch
+            np.copyto(scratch._buffer, info.identity)
+            scratch._touched[:] = False
+            scr_ptr = ffi.cast("double *", scratch._buffer.ctypes.data)
+            touched_ptr = ffi.cast("unsigned char *", scratch._touched.ctypes.data)
+
+        data_bufs = [_env[n] for n in buf_names]
+        if not _same(st.data_refs, data_bufs):
+            c_bufs = ffi.new("const unsigned char *[]", max(1, len(data_bufs)))
+            for i, b in enumerate(data_bufs):
+                c_bufs[i] = ffi.cast("const unsigned char *", b.ctypes.data)
+            st.c_bufs = c_bufs
+            st.data_refs = [weakref.ref(b) for b in data_bufs]
+
+        counters = st.counters
         counters[:] = 0.0
-
-        data_bufs = [_env[n] for n in buf_names]  # kept alive across the call
-        c_bufs = ffi.new("const unsigned char *[]", max(1, len(data_bufs)))
-        for i, b in enumerate(data_bufs):
-            c_bufs[i] = ffi.cast("const unsigned char *", b.ctypes.data)
-
+        _, offs_ptr, nelems_ptr, ops_ptr, ngroups = st.tables
         rc = fn(
-            int(_start),
-            int(_end),
-            c_bufs,
-            ffi.cast("double *", scratch.ctypes.data),
-            ffi.cast("const long long *", offs.ctypes.data),
-            ffi.cast("const long long *", nelems.ctypes.data),
-            ffi.cast("const long long *", ops.ctypes.data),
-            len(layout),
-            ffi.cast("unsigned char *", touched.ctypes.data),
-            ffi.cast("double *", counters.ctypes.data),
+            int(_start), int(_end), st.c_bufs, scr_ptr,
+            offs_ptr, nelems_ptr, ops_ptr, ngroups, touched_ptr,
+            st.counters_ptr,
         )
         if rc != 0:
+            if in_place:
+                np.copyto(buf, st.saved)
+                np.copyto(touched, st.saved_touched)
             exc_type, msg = _RC_MESSAGES.get(
                 rc, (RuntimeError, f"native kernel error {rc}")
             )
             raise exc_type(f"native kernel {name}: {msg}")
 
-        for i, field in enumerate(_COUNTER_FIELDS):
-            setattr(_C, field, getattr(_C, field) + float(counters[i]))
+        counts = counters.tolist()
+        for field, count in zip(_COUNTER_FIELDS, counts):
+            if count:  # adding 0.0 to a count changes nothing
+                setattr(_C, field, getattr(_C, field) + count)
 
-        updates = int(counters[_IDX_RO_UPDATES])
+        updates = int(counts[_IDX_RO_UPDATES])
+        if in_place:
+            target.update_count += updates
+            return
         if updates == 0:
             return
-        scratch_ro = ReductionObject.from_layout(
-            layout, buffer=scratch, initialize=False
-        )
-        scratch_ro.update_count = updates
-        if isinstance(_ro, ReductionObject):
-            _ro.merge_from(scratch_ro)
-            return
-        if type(_ro).merge_from_scratch is not ROAccessor.merge_from_scratch:
-            groups = [int(g) for g in np.nonzero(touched)[0]]
-            _ro.merge_from_scratch(scratch_ro, groups=groups)
+        scratch.update_count = updates
+        if shared is not None and (
+            type(shared).merge_from_scratch is not ROAccessor.merge_from_scratch
+        ):
+            groups = np.flatnonzero(scratch._touched).tolist()
+            shared.merge_from_scratch(scratch, groups=groups)
         else:
-            # e.g. ScratchAccessor under the fault-tolerant engine: fold
-            # into the per-attempt scratch; the engine commits on success.
-            ro_obj.merge_from(scratch_ro)
+            target.merge_from(scratch)
 
     _native_kernel.__name__ = "_native_kernel"
     _native_kernel.native = native  # type: ignore[attr-defined]

@@ -81,6 +81,42 @@ class _GroupMeta:
     offset: int  # start of this group's elements in the dense buffer
 
 
+class _LayoutInfo:
+    """Per-layout constants, built once and shared by every clone.
+
+    ``signature`` is the ``(num_elems, op)`` tuple two objects must agree
+    on to merge; ``identity`` the read-only identity-valued buffer;
+    ``merge_plan`` one ``(ufunc, selector)`` pair per op kind, whose
+    selector is a slice when that op's cells are contiguous (the whole
+    buffer for a single-op layout) and an index array otherwise.
+    """
+
+    __slots__ = ("signature", "identity", "offsets", "nelems", "ops", "merge_plan")
+
+    def __init__(self, groups: "list[_GroupMeta]") -> None:
+        self.signature = tuple((m.num_elems, m.op) for m in groups)
+        self.ops = [m.op for m in groups]
+        self.offsets = np.array([m.offset for m in groups], dtype=np.int64)
+        self.nelems = np.array([m.num_elems for m in groups], dtype=np.int64)
+        self.identity = np.repeat(
+            np.array([_IDENTITY[op] for op in self.ops], dtype=np.float64),
+            self.nelems,
+        )
+        self.identity.flags.writeable = False
+        cell_ops = np.repeat(np.array(self.ops, dtype=object), self.nelems)
+        plan = []
+        for op in sorted(set(self.ops)):
+            cells = np.flatnonzero(cell_ops == op)
+            if cells.size == self.identity.size:
+                sel: "slice | np.ndarray" = slice(None)
+            elif cells[-1] - cells[0] + 1 == cells.size:
+                sel = slice(int(cells[0]), int(cells[-1]) + 1)
+            else:
+                sel = cells
+            plan.append((_MERGE_UFUNC[op], sel))
+        self.merge_plan = plan
+
+
 class ReductionObject:
     """A dense, mergeable reduction object.
 
@@ -99,8 +135,8 @@ class ReductionObject:
         self._finalized_layout = False
         #: number of accumulate() calls, for runtime statistics
         self.update_count: int = 0
-        # lazy per-group lookup arrays for the batch update path
-        self._batch_tables: tuple[np.ndarray, np.ndarray, list[str]] | None = None
+        # lazy per-layout constants (see _LayoutInfo); reset by every alloc
+        self._info: _LayoutInfo | None = None
         #: explicit per-group touched bitmap: set by every update API, so a
         #: group stays visible in touched_groups() even when its accumulated
         #: value happens to equal the op identity
@@ -127,7 +163,7 @@ class ReductionObject:
         self._buffer = np.concatenate(
             [self._buffer, np.full(num_elems, _IDENTITY[op])]
         )
-        self._batch_tables = None
+        self._info = None
         self._touched = np.concatenate([self._touched, [False]])
         return gid
 
@@ -157,7 +193,7 @@ class ReductionObject:
             offset += num_elems
             gids.append(gid)
         self._buffer = np.concatenate(segments)
-        self._batch_tables = None
+        self._info = None
         self._touched = np.concatenate(
             [self._touched, np.zeros(len(gids), dtype=bool)]
         )
@@ -234,14 +270,15 @@ class ReductionObject:
         self._touched[meta.group_id] = True
         self.update_count += meta.num_elems
 
+    def _layout_info(self) -> _LayoutInfo:
+        if self._info is None:
+            self._info = _LayoutInfo(self._groups)
+        return self._info
+
     def _group_tables(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Dense per-group ``(offsets, num_elems, ops)`` lookup arrays."""
-        if self._batch_tables is None:
-            offsets = np.array([m.offset for m in self._groups], dtype=np.int64)
-            nelems = np.array([m.num_elems for m in self._groups], dtype=np.int64)
-            ops = [m.op for m in self._groups]
-            self._batch_tables = (offsets, nelems, ops)
-        return self._batch_tables
+        info = self._layout_info()
+        return info.offsets, info.nelems, info.ops
 
     def batch_cells(
         self,
@@ -402,10 +439,7 @@ class ReductionObject:
                 )
             ro._buffer = buf
         if initialize:
-            for meta in ro._groups:
-                ro._buffer[meta.offset : meta.offset + meta.num_elems] = _IDENTITY[
-                    meta.op
-                ]
+            ro._buffer[:] = ro._layout_info().identity
         ro._touched = np.zeros(len(ro._groups), dtype=bool)
         ro.freeze_layout()
         return ro
@@ -447,22 +481,31 @@ class ReductionObject:
         return clone
 
     def same_layout(self, other: "ReductionObject") -> bool:
-        return [(m.num_elems, m.op) for m in self._groups] == [
-            (m.num_elems, m.op) for m in other._groups
-        ]
+        mine, theirs = self._layout_info(), other._layout_info()
+        return mine is theirs or mine.signature == theirs.signature
+
+    def check_same_layout(self, other: "ReductionObject") -> None:
+        """Raise unless ``other`` can be merged into this object."""
+        if not self.same_layout(other):
+            raise ReductionObjectError(
+                "cannot merge reduction objects with different layouts"
+            )
 
     def merge_from(self, other: "ReductionObject") -> None:
         """Combine another copy into this one (the *combine* of Figure 1).
 
-        Merging is group-wise with each group's op ufunc, so it is a handful
-        of vectorized operations regardless of object size.
+        One ufunc per op kind over the whole buffer (see
+        :class:`_LayoutInfo`), so a merge costs a handful of vectorized
+        operations regardless of the group count; the ops are elementwise,
+        so the result is bit-identical to a group-by-group merge.
         """
-        if not self.same_layout(other):
-            raise ReductionObjectError("cannot merge reduction objects with different layouts")
-        for meta in self._groups:
-            sl = slice(meta.offset, meta.offset + meta.num_elems)
-            ufunc = _MERGE_UFUNC[meta.op]
-            self._buffer[sl] = ufunc(self._buffer[sl], other._buffer[sl])
+        self.check_same_layout(other)
+        mine, theirs = self._buffer, other._buffer
+        for ufunc, sel in self._layout_info().merge_plan:
+            if isinstance(sel, slice):
+                ufunc(mine[sel], theirs[sel], out=mine[sel])
+            else:
+                mine[sel] = ufunc(mine[sel], theirs[sel])
         self._touched |= other._touched
         self.update_count += other.update_count
 
@@ -475,14 +518,16 @@ class ReductionObject:
         uses this to apply a scratch object group-by-group while holding
         exactly that group's covering locks.
         """
-        if not self.same_layout(other):
-            raise ReductionObjectError(
-                "cannot merge reduction objects with different layouts"
-            )
+        self.check_same_layout(other)
+        self._merge_group(group, other)
+
+    def _merge_group(self, group: int, other: "ReductionObject") -> None:
+        """:meth:`merge_group_from` for a caller that already ran
+        :meth:`check_same_layout` once for a whole multi-group commit."""
         meta = self._meta(group)
         sl = slice(meta.offset, meta.offset + meta.num_elems)
         ufunc = _MERGE_UFUNC[meta.op]
-        self._buffer[sl] = ufunc(self._buffer[sl], other._buffer[sl])
+        ufunc(self._buffer[sl], other._buffer[sl], out=self._buffer[sl])
         if other._touched[meta.group_id] or bool(
             np.any(other._buffer[sl] != _IDENTITY[meta.op])
         ):
@@ -502,16 +547,15 @@ class ReductionObject:
         :meth:`group_view` slices and ``from_layout(initialize=False)``
         wraps of worker-filled shared segments bypass the bitmap.
         """
-        touched: set[int] = {
-            int(g) for g in np.nonzero(self._touched)[0]
-        }
-        for meta in self._groups:
-            if meta.group_id in touched:
-                continue
-            sl = self._buffer[meta.offset : meta.offset + meta.num_elems]
-            if np.any(sl != _IDENTITY[meta.op]):
-                touched.add(meta.group_id)
-        return frozenset(touched)
+        return frozenset(np.flatnonzero(self.touched_mask()).tolist())
+
+    def touched_mask(self) -> np.ndarray:
+        """:meth:`touched_groups` as a per-group bool array."""
+        if not self._groups:
+            return np.zeros(0, dtype=bool)
+        info = self._layout_info()
+        differs = self._buffer != info.identity
+        return self._touched | np.logical_or.reduceat(differs, info.offsets)
 
     # -- delta execution ------------------------------------------------------
 

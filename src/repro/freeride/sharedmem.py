@@ -121,6 +121,14 @@ class ROAccessor:
 
     stats: SharedMemStats
 
+    #: True when ``self.ro`` belongs to this accessor's one caller for the
+    #: whole call: nobody else reads or writes it concurrently, so a kernel
+    #: may update it in place and roll it back on failure.  False for
+    #: accessors over a shared object, where a rollback would clobber
+    #: concurrent writers — kernels commit through
+    #: :meth:`merge_from_scratch` instead.
+    exclusive_ro: bool = False
+
     def accumulate(self, group: int, elem: int, value: float) -> None:
         raise NotImplementedError
 
@@ -170,6 +178,8 @@ class ROAccessor:
 class ReplicatedAccessor(ROAccessor):
     """Full replication: updates go to a private copy, no locks."""
 
+    exclusive_ro = True
+
     def __init__(self, private_ro: ReductionObject, technique: SharedMemTechnique) -> None:
         self.ro = private_ro
         self.stats = SharedMemStats(
@@ -204,6 +214,8 @@ class ScratchAccessor(ROAccessor):
     engine commits the scratch through the real accessor's
     :meth:`ROAccessor.merge_from_scratch` only if the attempt succeeds.
     """
+
+    exclusive_ro = True
 
     def __init__(self, scratch_ro: ReductionObject) -> None:
         self.ro = scratch_ro
@@ -268,10 +280,15 @@ class ColoredAccessor(ROAccessor):
     def merge_from_scratch(self, scratch: ReductionObject, groups=None) -> None:
         # Commit only the groups the coloring proved this split touches:
         # a full merge would read-modify-write groups concurrent same-wave
-        # commits also leave untouched, racing on their cells.
-        gids = range(self.ro.num_groups) if groups is None else groups
+        # commits also leave untouched, racing on their cells.  A listed
+        # group the split left untouched holds merge identities and is
+        # skipped too.  The layout is checked once per commit.
+        self.ro.check_same_layout(scratch)
+        touched = scratch.touched_mask()
+        gids = np.flatnonzero(touched).tolist() if groups is None else groups
         for g in gids:
-            self.ro.merge_group_from(g, scratch)
+            if touched[g]:
+                self.ro._merge_group(g, scratch)
         self.updates += scratch.update_count
 
 
@@ -374,6 +391,7 @@ class LockingAccessor(ROAccessor):
         # covering locks (acquired in ascending index order, so concurrent
         # commits cannot deadlock).  A group merge is one atomic unit: other
         # threads observe it entirely or not at all.
+        self.ro.check_same_layout(scratch)
         gids = range(self.ro.num_groups) if groups is None else sorted(groups)
         for g in gids:
             meta = self.ro._meta(g)
@@ -383,7 +401,7 @@ class LockingAccessor(ROAccessor):
                 for i in indices:
                     self._table.locks[i].acquire()
                     acquired.append(i)
-                self.ro.merge_group_from(g, scratch)
+                self.ro._merge_group(g, scratch)
             finally:
                 for i in reversed(acquired):
                     self._table.locks[i].release()

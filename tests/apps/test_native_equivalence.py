@@ -187,6 +187,31 @@ class TestNativeMatchesScalar:
             assert base.counters.as_dict() == res.counters.as_dict(), executor
 
 
+class TestNativeInPlaceSums:
+    """Native kernels update a thread's replica in place, so each
+    replica's float sums are added in element order — the order the scalar
+    and batch kernels use.  With the serial executor the replicas are
+    filled and merged identically, so even non-dyadic sums match exactly."""
+
+    def test_histogram_sums_bit_identical_on_normal_data(self):
+        data = np.random.default_rng(9).normal(size=20_000)
+        out = {}
+        for backend in ("scalar", "batch", "native"):
+            with HistogramRunner(
+                bins=64, lo=-4.0, hi=4.0, version="opt-2", num_threads=2,
+                executor="serial", chunk_size=512, backend=backend,
+            ) as runner:
+                if backend == "native":
+                    assert runner.compiled.native_kernel is not None
+                out[backend] = runner.run(data)
+        assert len(set(out["scalar"].sums.tolist())) > 32  # real sums
+        for backend in ("batch", "native"):
+            assert np.array_equal(out[backend].sums, out["scalar"].sums), backend
+            assert np.array_equal(
+                out[backend].counts, out["scalar"].counts
+            ), backend
+
+
 class TestNativeFallbackVersionsStillMatch:
     """At opt 0/1 nested extras force batch/scalar — results must still
     match, with the downgrade recorded per kernel."""

@@ -185,3 +185,89 @@ class TestMerge:
         got = dict(ro.groups())
         assert set(got) == {0, 1}
         assert len(got[0]) == 2
+
+
+class TestVectorizedLayoutOps:
+    """merge_from/clone_empty/same_layout run from cached per-layout
+    constants; results must match a group-by-group merge bit for bit."""
+
+    LAYOUTS = {
+        "single_op": [(3, "add")] * 5,
+        "op_runs": [(2, "add"), (4, "add"), (1, "min"), (3, "min"), (2, "max")],
+        "interleaved": [(2, "add"), (1, "min"), (3, "add"), (2, "max"), (1, "min")],
+    }
+
+    @staticmethod
+    def _filled(layout, rng):
+        ro = ReductionObject.from_layout(layout)
+        ro._buffer[:] = rng.normal(size=ro.size) * 1e3
+        ro._buffer[rng.integers(ro.size)] = np.nan
+        ro._touched[:] = rng.random(ro.num_groups) < 0.5
+        ro.update_count = int(rng.integers(100))
+        return ro
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_merge_matches_group_by_group(self, name):
+        rng = np.random.default_rng(3)
+        layout = self.LAYOUTS[name]
+        a, b = self._filled(layout, rng), self._filled(layout, rng)
+        expected = a.snapshot()
+        for g, (n, op) in enumerate(layout):
+            off = sum(m for m, _ in layout[:g])
+            ufunc = {"add": np.add, "min": np.minimum, "max": np.maximum}[op]
+            expected[off : off + n] = ufunc(
+                expected[off : off + n], b._buffer[off : off + n]
+            )
+        touched = a._touched | b._touched
+        count = a.update_count + b.update_count
+        a.merge_from(b)
+        assert np.array_equal(a.snapshot(), expected, equal_nan=True)
+        assert np.array_equal(a._touched, touched)
+        assert a.update_count == count
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_merge_into_strided_external_buffer(self, name):
+        layout = self.LAYOUTS[name]
+        rng = np.random.default_rng(5)
+        b = self._filled(layout, rng)
+        backing = np.zeros(2 * b.size)
+        a = ReductionObject.from_layout(layout, buffer=backing[::2])
+        plain = ReductionObject.from_layout(layout)
+        a.merge_from(b)
+        plain.merge_from(b)
+        assert np.array_equal(a.snapshot(), plain.snapshot(), equal_nan=True)
+        assert not backing[1::2].any()
+
+    def test_clone_empty_copies_the_identity_vector(self):
+        ro = ReductionObject.from_layout(self.LAYOUTS["interleaved"])
+        x, y = ro.clone_empty(), ro.clone_empty()
+        x.accumulate(0, 0, 5.0)
+        x.accumulate(1, 0, -1.0)
+        assert y.get(0, 0) == 0.0 and y.get(1, 0) == np.inf
+        assert ro.clone_empty().get(1, 0) == np.inf
+        assert y.layout() == ro.layout() and ro.same_layout(y)
+
+    def test_same_layout_compares_signatures(self):
+        a = ReductionObject.from_layout([(2, "add"), (1, "min")])
+        b = ReductionObject.from_layout([(2, "add"), (1, "min")])
+        c = ReductionObject.from_layout([(2, "add"), (1, "max")])
+        assert a.same_layout(b) and not a.same_layout(c)
+        with pytest.raises(ReductionObjectError):
+            a.merge_from(c)
+
+    def test_alloc_after_clone_refreshes_layout(self):
+        ro = ReductionObject()
+        ro.alloc(2, "add")
+        clone = ro.clone_empty()
+        assert ro.same_layout(clone)
+        ro.alloc(1, "min")
+        assert not ro.same_layout(clone)
+        assert ro.clone_empty().get(1, 0) == np.inf
+        assert clone.num_groups == 1 and clone.size == 2
+
+    def test_touched_groups_include_out_of_band_writes(self):
+        ro = ReductionObject.from_layout(self.LAYOUTS["op_runs"])
+        ro.accumulate(0, 0, 0.0)  # identity-valued, but explicitly touched
+        ro.group_view(3)[1] = -2.0  # bypasses the bitmap
+        assert ro.touched_groups() == frozenset({0, 3})
+        assert ro.touched_mask().tolist() == [True, False, False, True, False]

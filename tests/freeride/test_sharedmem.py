@@ -13,7 +13,7 @@ from repro.freeride.sharedmem import (
     SharedMemManager,
     SharedMemTechnique,
 )
-from repro.util.errors import FreerideError
+from repro.util.errors import FreerideError, ReductionObjectError
 
 ALL_TECHNIQUES = list(SharedMemTechnique)
 
@@ -182,3 +182,45 @@ class TestMemoryAccounting:
         repl_8 = footprint(SharedMemTechnique.FULL_REPLICATION, 8)
         lock_8 = footprint(SharedMemTechnique.CACHE_SENSITIVE_LOCKING, 8)
         assert repl_8 == 8 * lock_8
+
+
+class TestScratchCommits:
+    """Shared-target commits check the layout once and merge per group."""
+
+    @pytest.mark.parametrize(
+        "technique", ["colored", "full_locking", "cache_sensitive_locking"]
+    )
+    def test_layout_checked_once_per_commit(self, technique, monkeypatch):
+        base = make_ro(groups=64, elems=2)
+        (acc,) = SharedMemManager(technique).setup(base, 1)
+        scratch = base.clone_empty()
+        for g in range(0, 64, 3):
+            scratch.accumulate(g, 1, float(g))
+        calls = []
+        real = ReductionObject.same_layout
+        monkeypatch.setattr(
+            ReductionObject, "same_layout",
+            lambda self, other: calls.append(1) or real(self, other),
+        )
+        acc.merge_from_scratch(scratch)
+        assert len(calls) == 1
+        expected = [float(g) if g % 3 == 0 else 0.0 for g in range(64)]
+        assert base.snapshot()[1::2].tolist() == expected
+
+    def test_colored_commit_merges_only_touched_groups(self):
+        base = make_ro(groups=4, elems=1)
+        (acc,) = SharedMemManager("colored").setup(base, 1)
+        base.set(2, 0, -0.0)  # an add-identity merge would turn it into +0.0
+        scratch = base.clone_empty()
+        scratch.accumulate(1, 0, 3.0)
+        acc.merge_from_scratch(scratch, groups=[1, 2])
+        assert base.snapshot().tolist() == [0.0, 3.0, 0.0, 0.0]
+        assert np.signbit(base.get(2, 0))
+        assert acc.updates == 1
+
+    def test_commit_rejects_a_foreign_layout(self):
+        base = make_ro(groups=2, elems=3)
+        for technique in ("colored", "full_locking"):
+            (acc,) = SharedMemManager(technique).setup(base, 1)
+            with pytest.raises(ReductionObjectError, match="different layouts"):
+                acc.merge_from_scratch(make_ro(groups=3, elems=3))
